@@ -37,6 +37,11 @@ import (
 	"repro/internal/store"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow-header clients cannot hold connections
+// open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dperfd:", err)
@@ -77,7 +82,7 @@ func run(args []string, stdout, stderr *os.File) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

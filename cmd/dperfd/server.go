@@ -34,6 +34,18 @@ const (
 // maxUploadBytes bounds one trace-set upload.
 const maxUploadBytes = 256 << 20
 
+// Request cost bounds. A request over any of them is answered with 413
+// before its work is allocated: the 1 MiB body limit alone still lets
+// a scan ask for ~10^14 grid points. Each bound sits far above what
+// the CLI fixtures and the benchmark's serve workload send (24-point
+// scans; 3-platform x 2-scheme sweeps at the set's own rank count).
+const (
+	maxScanPoints   = 1 << 14 // grid points in one scan
+	maxSweepConfigs = 1 << 10 // platforms x ranks x schemes in one sweep
+	maxSweepRanks   = 1 << 10 // one swept rank count
+	maxSweepWorkers = 1 << 8  // sweep worker goroutines
+)
+
 // server is the dperfd state shared by every request: the
 // content-addressed trace-set store, the analytic predictor (platform
 // identity + certificate + tape caches), the steady-state period
@@ -360,6 +372,23 @@ func (sr *sweepRequest) normalize() (dperf.PredictMode, error) {
 	return dperf.ParsePredictMode(sr.PredictMode)
 }
 
+// checkCost bounds the sweep's configuration count, rank counts and
+// worker count (see maxSweepConfigs).
+func (sr *sweepRequest) checkCost() error {
+	if sr.Workers > maxSweepWorkers {
+		return fmt.Errorf("sweep asks for %d workers, limit %d", sr.Workers, maxSweepWorkers)
+	}
+	for _, r := range sr.Ranks {
+		if r > maxSweepRanks {
+			return fmt.Errorf("sweep asks for %d ranks, limit %d", r, maxSweepRanks)
+		}
+	}
+	if n := len(sr.Platforms) * max(1, len(sr.Ranks)) * len(sr.Schemes); n > maxSweepConfigs {
+		return fmt.Errorf("sweep spans %d configurations, limit %d", n, maxSweepConfigs)
+	}
+	return nil
+}
+
 func (sr *sweepRequest) cacheKey() string {
 	ranks := make([]string, len(sr.Ranks))
 	for i, r := range sr.Ranks {
@@ -389,6 +418,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	mode, err := req.normalize()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := req.checkCost(); err != nil {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
 	space := dperf.Space{Ranks: req.Ranks}
@@ -447,6 +480,15 @@ func (sr *scanRequest) normalize() {
 	}
 }
 
+// checkCost bounds the grid's point count by maxScanPoints. Each axis
+// length is below the 1 MiB body size, so the product cannot overflow.
+func (sr *scanRequest) checkCost() error {
+	if n := len(sr.BandwidthsBps) * len(sr.LatenciesS) * len(sr.SpeedsHz); n > maxScanPoints {
+		return fmt.Errorf("scan grid has %d points, limit %d", n, maxScanPoints)
+	}
+	return nil
+}
+
 func (sr *scanRequest) cacheKey() string {
 	var b strings.Builder
 	b.WriteString("scan")
@@ -496,6 +538,10 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
+	if err := req.checkCost(); err != nil {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	s.cached(w, req.cacheKey(), func() ([]byte, error) {
 		np := s.scanFam.NumParams
 		pts := make([]float64, 0, len(req.BandwidthsBps)*len(req.LatenciesS)*len(req.SpeedsHz)*np)

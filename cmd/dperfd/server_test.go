@@ -384,6 +384,45 @@ func TestHostileRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", resp.StatusCode)
 	}
+
+	// Over-cost requests: 413 before any allocation, and the server
+	// stays up. A 1000x1000x1000 scan grid is 10^9 points in a ~30 KB
+	// body.
+	axis := func(base float64) []float64 {
+		v := make([]float64, 1000)
+		for i := range v {
+			v[i] = base * (1 + float64(i)/1000)
+		}
+		return v
+	}
+	code, body = postJSON(t, hs.URL+"/v1/scan", scanRequest{BandwidthsBps: axis(1e8), LatenciesS: axis(1e-4), SpeedsHz: axis(3e9)})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge scan grid: status %d body %.200s", code, body)
+	}
+	code, body = postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: digest, Workers: 1_000_000})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge sweep worker count: status %d body %s", code, body)
+	}
+	code, body = postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: digest, Ranks: []int{1_000_000}})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge sweep rank count: status %d body %s", code, body)
+	}
+	manyRanks := make([]int, maxSweepConfigs)
+	for i := range manyRanks {
+		manyRanks[i] = i + 1
+	}
+	code, body = postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: digest, Ranks: manyRanks})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge sweep grid: status %d body %.200s", code, body)
+	}
+	resp, err = http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after over-cost requests: status %d", resp.StatusCode)
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {

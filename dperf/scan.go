@@ -128,12 +128,13 @@ func (p *Predictor) tapeSetFor(f *ScanFamily) *tapeSet {
 //
 // The scan maintains a most-recently-used list of guarded tapes
 // (compiled regions of the family's parameter space). Runs of points
-// inside one region replay batched through the MRU tape — a
-// branch-free array walk — and a point every cached tape rejects
-// falls back to one full recording evaluation, which both answers the
-// point and contributes the new region's tape. Replayed or fallback,
-// every visited result is bit-identical to a full analytic evaluation
-// of the family at that point.
+// inside one region replay batched through one tape — a branch-free
+// array walk — and the lanes it rejects try the other tapes one point
+// at a time, MRU first. A point every cached tape rejects falls back
+// to one full recording evaluation, which both answers the point and
+// contributes the new region's tape. Replayed or fallback, every
+// visited result is bit-identical to a full analytic evaluation of
+// the family at that point.
 //
 // Scan is safe for concurrent use with Predict and other Scan calls
 // on a shared Predictor; keyed families share discovered regions
@@ -174,10 +175,15 @@ func (p *Predictor) Scan(f ScanFamily, points []float64, visit func(i int, res *
 
 	// scalar serves one point: cached tapes in MRU order, then tapes
 	// concurrent scans discovered meanwhile, then the full fallback.
-	scalar := func(i int) error {
+	// rejected, if not nil, is a tape known to reject the point; it is
+	// not tried again.
+	scalar := func(i int, rejected *Tape) error {
 		pt := points[i*np : i*np+np]
 		var r analytic.Result
 		for k, tp := range local {
+			if tp == rejected {
+				continue
+			}
 			if tp.Replay(pt, &r) {
 				if k != 0 {
 					copy(local[1:k+1], local[:k])
@@ -217,27 +223,39 @@ func (p *Predictor) Scan(f ScanFamily, points []float64, visit func(i int, res *
 
 	var bres [analytic.BatchLanes]analytic.Result
 	var bok [analytic.BatchLanes]bool
+	var batch *Tape // the tape full batches replay through
 	i := 0
 	for i < n {
 		if len(local) == 0 || n-i < analytic.BatchLanes {
-			if err := scalar(i); err != nil {
+			if err := scalar(i, nil); err != nil {
 				return nil, err
 			}
 			i++
 			continue
 		}
-		// Full batch against the MRU tape; lanes it rejects take the
-		// scalar path individually.
-		local[0].ReplayBatch(points[i*np:(i+analytic.BatchLanes)*np], &bres, &bok)
+		if batch == nil {
+			batch = local[0]
+		}
+		// Lanes the batch tape rejects take the scalar path
+		// individually.
+		batch.ReplayBatch(points[i*np:(i+analytic.BatchLanes)*np], &bres, &bok)
+		kept := 0
 		for l := 0; l < analytic.BatchLanes; l++ {
 			if bok[l] {
 				stats.Replayed++
 				emit(i+l, &bres[l])
+				kept++
 				continue
 			}
-			if err := scalar(i + l); err != nil {
+			if err := scalar(i+l, batch); err != nil {
 				return nil, err
 			}
+		}
+		// Keep a tape that answered most of its batch: a grid's
+		// regions need not line up with its lanes, and the MRU head
+		// is only whichever tape answered the last rejected lane.
+		if 2*kept < analytic.BatchLanes {
+			batch = local[0]
 		}
 		i += analytic.BatchLanes
 	}

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/p2psap"
@@ -204,8 +205,9 @@ func TestCertify(t *testing.T) {
 	}
 }
 
-// TestModelReuse: one shared model serves many evaluations with
-// results identical to throwaway models.
+// TestModelReuse: one shared model serves many evaluations, from
+// several goroutines at once starting with a cold route cache, with
+// results identical to a throwaway model's.
 func TestModelReuse(t *testing.T) {
 	plat, err := platform.Cluster(4)
 	if err != nil {
@@ -216,25 +218,35 @@ func TestModelReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := specFor(t, plat, 4, p2psap.Synchronous, 8192, 4096, steadySrc(4, 24))
-	first, err := m.Evaluate(spec)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = m.Evaluate(spec)
+		}()
 	}
-	for i := 0; i < 3; i++ {
-		again, err := m.Evaluate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *again != *first {
-			t.Fatalf("model reuse diverged on run %d: %+v vs %+v", i, again, first)
-		}
-	}
+	wg.Wait()
 	solo, err := Evaluate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *solo != *first {
-		t.Fatalf("shared model diverged from throwaway model: %+v vs %+v", solo, first)
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatalf("shared model, goroutine %d: %v", g, errs[g])
+		}
+		if *res != *solo {
+			t.Fatalf("shared model diverged from throwaway model on goroutine %d: %+v vs %+v", g, res, solo)
+		}
+	}
+	again, err := m.Evaluate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again != *solo {
+		t.Fatalf("warm shared model diverged: %+v vs %+v", again, solo)
 	}
 }
 
@@ -305,18 +317,85 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluate: cold per-point cost of the analytic tier (model
-// reuse, no certificate cache) at paper scale — 8 ranks, 40 rounds.
-func BenchmarkEvaluate(b *testing.B) {
-	plat, err := platform.Cluster(16)
+// TestGenericEngineValidation feeds hostile specs through one shared
+// Model: the engine checks hosts, submitter and deployment bytes when
+// it sets up an evaluation, and a rejected spec must leave the model
+// usable.
+func TestGenericEngineValidation(t *testing.T) {
+	plat, err := platform.Cluster(4)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	m, err := NewModel(plat)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	spec := specFor(b, plat, 8, p2psap.Synchronous, 1e6, 1e6, steadySrc(8, 40))
+	base := specFor(t, plat, 2, p2psap.Synchronous, 0, 0, steadySrc(2, 12))
+
+	dup := base
+	dup.Hosts = []string{base.Hosts[0], base.Hosts[0]}
+	if _, err := m.Evaluate(dup); err == nil {
+		t.Fatal("duplicate hosts accepted")
+	}
+
+	badSub := base
+	badSub.Submitter = "no-such-host"
+	if _, err := m.Evaluate(badSub); err == nil {
+		t.Fatal("unknown submitter accepted")
+	}
+
+	neg := base
+	neg.ScatterBytes = -1
+	if _, err := m.Evaluate(neg); err == nil {
+		t.Fatal("negative scatter bytes accepted")
+	}
+	if _, err := m.Evaluate(base); err != nil {
+		t.Fatalf("valid spec rejected after hostile ones: %v", err)
+	}
+}
+
+// benchSpec is BenchmarkEvaluate's configuration: 16 hosts, 8 ranks,
+// 40 rounds, with scatter and gather.
+func benchSpec(t testing.TB) (*Model, Spec) {
+	t.Helper()
+	plat, err := platform.Cluster(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, specFor(t, plat, 8, p2psap.Synchronous, 1e6, 1e6, steadySrc(8, 40))
+}
+
+// maxEvaluateAllocs bounds the allocations of one BenchmarkEvaluate
+// evaluation. An allocation count is host-independent, unlike a
+// wall-clock gate, and allocation is a large share of the evaluator's
+// cost.
+const maxEvaluateAllocs = 196
+
+// TestEvaluateAllocs holds Model.Evaluate to maxEvaluateAllocs on
+// BenchmarkEvaluate's spec.
+func TestEvaluateAllocs(t *testing.T) {
+	m, spec := benchSpec(t)
+	if _, err := m.Evaluate(spec); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.Evaluate(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxEvaluateAllocs {
+		t.Fatalf("Model.Evaluate: %.0f allocations per evaluation, want <= %d", allocs, maxEvaluateAllocs)
+	}
+}
+
+// BenchmarkEvaluate: cold per-point cost of the analytic tier (model
+// reuse, no certificate cache) at paper scale — 8 ranks, 40 rounds.
+func BenchmarkEvaluate(b *testing.B) {
+	m, spec := benchSpec(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

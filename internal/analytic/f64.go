@@ -1,13 +1,13 @@
-// The float64 instantiation of the generic engine: every arith method
-// compiles to the raw operation, so runGeneric[float64, f64] performs
-// exactly the float64 arithmetic of the concrete evaluator — the
-// differential test in gengine_test.go pins that bit for bit.
+// The float64 instantiation of the engine: every arith method compiles
+// to the raw operation, so runGeneric[float64, f64] performs plain
+// float64 arithmetic in the DES stack's order — the production path
+// behind Model.Evaluate and Certify.
 package analytic
 
 import "math"
 
-// f64 is the plain-float64 arithmetic. Zero-size, so the generic
-// engine instantiated at [float64, f64] carries no per-value overhead.
+// f64 is the plain-float64 arithmetic. Zero-size, so the engine
+// instantiated at [float64, f64] carries no per-value overhead.
 type f64 struct{}
 
 func (f64) Const(c float64) float64  { return c }
@@ -32,45 +32,3 @@ func (f64) IsNaN(a float64) bool     { return a != a }
 func (f64) IsInfPos(a float64) bool  { return math.IsInf(a, 1) }
 func (f64) BitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 func (f64) Float(a float64) float64  { return a }
-
-// evaluateGeneric runs a concrete Spec through the generic engine at
-// float64. It exists for the differential test pinning the generic
-// engine to Model.Evaluate; the production float64 path stays on the
-// concrete evaluator.
-func evaluateGeneric(m *Model, spec Spec) (*Result, error) {
-	src, err := m.validateSpec(&spec)
-	if err != nil {
-		return nil, err
-	}
-	var ar f64
-	gm, err := newGModel[float64](ar, m.plat, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := spec.Source.Ranks()
-	ranks := make([][]gop[float64], n)
-	for r := 0; r < n; r++ {
-		ranks[r] = convOps[float64](ar, src.RankOps(r))
-	}
-	sp := &gspec[float64]{
-		hosts:        spec.Hosts,
-		submitter:    spec.Submitter,
-		scheme:       spec.Scheme,
-		scatterBytes: spec.ScatterBytes,
-		gatherBytes:  spec.GatherBytes,
-		ranks:        ranks,
-	}
-	res, err := runGeneric[float64, f64](ar, gm, sp)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		PredictedSeconds:    res.predicted,
-		ScatterSeconds:      res.scatter,
-		ComputeSeconds:      res.compute,
-		GatherSeconds:       res.gather,
-		RoundsSimulated:     res.roundsSimulated,
-		RoundsFastForwarded: res.roundsFastForwarded,
-		Jumps:               res.jumps,
-	}, nil
-}

@@ -1,11 +1,12 @@
-// The generic actor layer: the port of exec.go (submitter/worker/
-// watchdog state machines plus the fast-forward boundary protocol)
-// into the abstract value domain of gengine.go. Every scheduling call
-// happens in the same order with the same operands as the concrete
-// evaluator — which itself mirrors the DES stack — so the float64
-// instantiation reproduces the concrete evaluator operation for
-// operation, and the recording instantiation captures that exact
-// operation sequence on a tape.
+// The actor layer: the p2pdc submitter/worker/watchdog processes and
+// the p2psap channel protocol re-expressed as resumable state machines
+// over the event loop of gengine.go, plus a port of the replay
+// fast-forward boundary protocol. Each DES goroutine becomes an actor
+// id; each park point becomes a state-machine phase; every scheduling
+// call happens in the same order with the same operands as the DES
+// original, which is what keeps event sequence numbers — and therefore
+// tie-breaks and every float64 — in lockstep. The recording
+// instantiation captures that exact operation sequence on a tape.
 package analytic
 
 import (
@@ -13,7 +14,12 @@ import (
 	"repro/internal/trace"
 )
 
-// resumeActor hands the execution token to an actor.
+// convBytes mirrors p2pdc.ConvergeMax's valBytes: the control payload
+// of the gather/broadcast convergence pattern.
+const convBytes = 8
+
+// resumeActor hands the execution token to an actor, which runs until
+// it parks or finishes — the analogue of des.Simulation.activate.
 func (ev *gev[V, A]) resumeActor(id int) {
 	switch {
 	case id < ev.n:
@@ -28,12 +34,15 @@ func (ev *gev[V, A]) resumeActor(id int) {
 // ---------------------------------------------------------------------------
 // Submitter and watchdog
 
+// runSubmitter mirrors the p2pdc submitter process: scatter the inputs
+// with raw async sends, then block on the shared gather mailbox until
+// every result arrived, then signal the watchdog.
 func (ev *gev[V, A]) runSubmitter() {
 	ar := ev.ar
 	if ev.subPhase == 0 {
 		if ar.Less(ev.zero, ev.scatterBytes) {
 			for i := range ev.hosts {
-				if err := ev.startFlow(ev.submitter, ev.hosts[i], ev.scatterBytes, &ev.scatterBox[i], -1); err != nil {
+				if err := ev.startFlow(ev.n, i, ev.scatterBytes, &ev.scatterBox[i], -1); err != nil {
 					ev.errs[i] = err
 				}
 			}
@@ -53,6 +62,7 @@ func (ev *gev[V, A]) runSubmitter() {
 	ev.live--
 }
 
+// signalGatherDone mirrors gatherDoneCond.Signal.
 func (ev *gev[V, A]) signalGatherDone() {
 	if ev.wdPhase == 1 {
 		ev.wdPhase = 2
@@ -62,6 +72,7 @@ func (ev *gev[V, A]) signalGatherDone() {
 	ev.wdPending = true
 }
 
+// runWatchdog mirrors the watchdog process: one Cond.Wait.
 func (ev *gev[V, A]) runWatchdog() {
 	if ev.wdPhase == 0 {
 		if ev.wdPending {
@@ -73,6 +84,7 @@ func (ev *gev[V, A]) runWatchdog() {
 		ev.wdPhase = 1 // parked on the cond
 		return
 	}
+	// wdPhase == 2: resumed by the signal.
 	ev.wdPhase = 3
 	ev.live--
 }
@@ -80,40 +92,55 @@ func (ev *gev[V, A]) runWatchdog() {
 // ---------------------------------------------------------------------------
 // Worker
 
-// gwframe mirrors wframe over generic ops.
+// Worker phases.
+const (
+	wkInit = iota
+	wkScatter
+	wkBody
+	wkGatherWait
+	wkDone
+)
+
+// gwframe is one level of the op-tree walk. A frame either iterates an
+// op list (`ops`: the current body, `rem` whole-list iterations left)
+// or, when mrc is set, runs one managed Repeat through the boundary
+// protocol (mop/done/mst).
 type gwframe[V comparable, A arith[V]] struct {
 	ops  []gop[V]
 	idx  int
 	rem  int
 	mrc  *grepCtl[V, A]
-	mop  gop[V]
+	mop  *gop[V]
 	done int
-	mst  uint8
+	mst  uint8 // 0 at boundary, 1 lead sleeping, 2 body rest running
 }
 
-// gworker mirrors worker.
+// gworker is one rank's actor: the p2pdc worker process plus the
+// op-structured replay interpreter, flattened into resumable state.
 type gworker[V comparable, A arith[V]] struct {
 	ev    *gev[V, A]
 	rank  int
-	host  string
 	ops   []gop[V]
 	phase int
 
 	frames []gwframe[V, A]
 
+	// Leaf execution state.
 	leafOn bool
-	leaf   gop[V]
-	ci     int
-	lph    int
-	lj     int
+	leaf   *gop[V]
+	ci     int // completed leaf iterations
+	lph    int // sub-phase within one iteration
+	lj     int // rank-0 collective peer index
 
-	convs, bars int64
+	convs, bars int64 // collectives completed (managed-loop keys)
 
 	gatherWaiting bool
 	gatherPending bool
 	err           error
 }
 
+// resume runs the worker until it parks or finishes, mirroring the
+// p2pdc worker process body.
 func (w *gworker[V, A]) resume() {
 	ev := w.ev
 	ar := ev.ar
@@ -136,16 +163,17 @@ func (w *gworker[V, A]) resume() {
 			if w.walk() {
 				return
 			}
+			// App body done (w.err carries an interpreter failure, which
+			// the DES worker also records before running its epilogue).
 			if w.err != nil {
 				ev.errs[w.rank] = w.err
 			}
-			ev.workerTimes[w.rank] = ev.absNow()
 			ev.computeDone++
 			if t := ev.absNow(); ar.Less(ev.computeEnd, t) {
 				ev.computeEnd = t
 			}
 			if ar.Less(ev.zero, ev.gatherBytes) {
-				if err := ev.startFlow(w.host, ev.submitter, ev.gatherBytes, &ev.gatherBox, w.rank); err != nil {
+				if err := ev.startFlow(w.rank, ev.n, ev.gatherBytes, &ev.gatherBox, w.rank); err != nil {
 					if ev.errs[w.rank] == nil {
 						ev.errs[w.rank] = err
 					}
@@ -167,6 +195,7 @@ func (w *gworker[V, A]) resume() {
 			ev.live--
 			return
 		case wkGatherWait:
+			// Resumed by the gather flow's completion signal.
 			w.phase = wkDone
 			ev.live--
 			return
@@ -176,6 +205,8 @@ func (w *gworker[V, A]) resume() {
 	}
 }
 
+// beginBody records the scatter-phase end (the DES worker does this
+// whether or not a scatter ran) and seeds the op walk.
 func (w *gworker[V, A]) beginBody() {
 	ev := w.ev
 	if t := ev.absNow(); ev.ar.Less(ev.scatterEnd, t) {
@@ -184,7 +215,9 @@ func (w *gworker[V, A]) beginBody() {
 	w.frames = append(w.frames[:0], gwframe[V, A]{ops: w.ops, rem: 1})
 }
 
-func (w *gworker[V, A]) maybeJoin(op gop[V]) *grepCtl[V, A] {
+// maybeJoin mirrors opsExec.maybeJoin: the analytic tier always runs
+// with fast-forward engaged (the FFOn equivalent).
+func (w *gworker[V, A]) maybeJoin(op *gop[V]) *grepCtl[V, A] {
 	if !gManageable(op) {
 		return nil
 	}
@@ -203,6 +236,11 @@ func (ev *gev[V, A]) computeDeadline(now V, ns V, count int) V {
 	return t
 }
 
+// walk advances the op-tree interpreter until it parks (true) or the
+// rank's ops are exhausted (false). It mirrors opsExec.run/repeat:
+// leaves execute through the leaf state machine, plain body ops loop
+// their bodies, top-level manageable Repeats run the boundary
+// protocol.
 func (w *gworker[V, A]) walk() bool {
 	ev := w.ev
 	for {
@@ -229,7 +267,7 @@ func (w *gworker[V, A]) walk() bool {
 					w.frames = w.frames[:fi]
 					continue
 				}
-				lead := f.mop.body[0]
+				lead := &f.mop.body[0]
 				t := ev.computeDeadline(ev.now, lead.ns, lead.count)
 				f.mrc.parkUntil(w.rank, t)
 				f.mst = 1
@@ -256,7 +294,7 @@ func (w *gworker[V, A]) walk() bool {
 			w.frames = w.frames[:fi]
 			continue
 		}
-		op := f.ops[f.idx]
+		op := &f.ops[f.idx]
 		f.idx++
 		if op.count <= 0 {
 			continue
@@ -275,7 +313,7 @@ func (w *gworker[V, A]) walk() bool {
 	}
 }
 
-func (w *gworker[V, A]) startLeaf(op gop[V]) {
+func (w *gworker[V, A]) startLeaf(op *gop[V]) {
 	w.leafOn = true
 	w.leaf = op
 	w.ci = 0
@@ -283,6 +321,8 @@ func (w *gworker[V, A]) startLeaf(op gop[V]) {
 	w.lj = 1
 }
 
+// finishLeaf commits the collective counters (as opsExec.leaf does
+// after its loop) and closes the leaf.
 func (w *gworker[V, A]) finishLeaf() {
 	switch w.leaf.kind {
 	case trace.KindConv:
@@ -298,6 +338,8 @@ func (w *gworker[V, A]) fail(err error) {
 	w.leafOn = false
 }
 
+// leafStep advances one run-length leaf op, mirroring opsExec.leaf and
+// the p2psap channel primitives it calls. Returns true when parked.
 func (w *gworker[V, A]) leafStep() bool {
 	ev := w.ev
 	ar := ev.ar
@@ -337,7 +379,7 @@ func (w *gworker[V, A]) leafStep() bool {
 				w.lph = 1
 			}
 			wire := ar.Add(r.bytes, p.frame)
-			if err := ev.startFlow(w.host, ev.hosts[r.peer], wire, ev.boxAt(false, r.peer, w.rank), -1); err != nil {
+			if err := ev.startFlow(w.rank, r.peer, wire, ev.boxAt(false, r.peer, w.rank), -1); err != nil {
 				w.fail(err)
 				return false
 			}
@@ -401,7 +443,7 @@ func (w *gworker[V, A]) leafStep() bool {
 					w.lph = 1
 				case 1:
 					wire := ar.Add(ev.cConv, p.frame)
-					if err := ev.startFlow(w.host, ev.hosts[0], wire, ev.boxAt(true, 0, w.rank), -1); err != nil {
+					if err := ev.startFlow(w.rank, 0, wire, ev.boxAt(true, 0, w.rank), -1); err != nil {
 						w.fail(err)
 						return false
 					}
@@ -471,7 +513,7 @@ func (w *gworker[V, A]) leafStep() bool {
 					return false
 				}
 				wire := ar.Add(ev.cConv, p.frame)
-				if err := ev.startFlow(w.host, ev.hosts[w.lj], wire, ev.boxAt(true, w.lj, 0), -1); err != nil {
+				if err := ev.startFlow(w.rank, w.lj, wire, ev.boxAt(true, w.lj, 0), -1); err != nil {
 					w.fail(err)
 					return false
 				}
@@ -497,13 +539,21 @@ func (w *gworker[V, A]) leafStep() bool {
 // ---------------------------------------------------------------------------
 // Fast-forward controller
 
-// gSigEntry mirrors aSigEntry with the wake time kept in the value
-// domain; signature equality compares wake bits through arith.BitsEq.
+// arepKey mirrors replay.ffRepKey.
+type arepKey struct {
+	convs, bars int64
+	count       int
+}
+
+// gSigEntry mirrors replay.ffSigEntry with the wake time kept in the
+// value domain; signature equality compares wake bits through
+// arith.BitsEq.
 type gSigEntry[V comparable] struct {
 	rank int
 	wake V
 }
 
+// gRankState mirrors replay.ffRankState.
 type gRankState[V comparable] struct {
 	joined   bool
 	done     int
@@ -513,11 +563,15 @@ type gRankState[V comparable] struct {
 	parkSeq  uint64
 }
 
+// gBoundary mirrors replay.ffBoundary.
 type gBoundary[V comparable] struct {
 	sig   []gSigEntry[V]
 	shift V
 }
 
+// gctl mirrors replay.ffController with jumping always enabled (the
+// analytic tier is the FFOn path by definition), minus the
+// cross-replay period cache — certificates make it moot.
 type gctl[V comparable, A arith[V]] struct {
 	ev                         *gev[V, A]
 	n                          int
@@ -525,6 +579,7 @@ type gctl[V comparable, A arith[V]] struct {
 	roundsSim, roundsFF, jumps int64
 }
 
+// grepCtl mirrors replay.repeatCtl.
 type grepCtl[V comparable, A arith[V]] struct {
 	ctl         *gctl[V, A]
 	key         arepKey
@@ -571,6 +626,10 @@ func (rc *grepCtl[V, A]) leave() {
 	rc.ctl.roundsFF += int64(rc.cumSkip)
 }
 
+// boundary is the port of repeatCtl.boundary: fold unseen skips into
+// the canonical count, and from the last-arriving rank attempt a
+// steady-state snapshot — rebase, fingerprint, and jump when the
+// fingerprint chain proves a period.
 func (rc *grepCtl[V, A]) boundary(rank, done int) int {
 	st := &rc.st[rank]
 	done += rc.cumSkip - st.seenSkip
@@ -694,10 +753,10 @@ func (rc *grepCtl[V, A]) period() int {
 	return 0
 }
 
-// gSigsEqual mirrors aSigsEqual: rank identity, then wake-time *bits*
-// (the concrete controller stores math.Float64bits; BitsEq is that
-// comparison lifted into the value domain, and the guard a symbolic
-// scan needs before trusting a recorded steady-state period).
+// gSigsEqual mirrors replay's signature comparison: rank identity,
+// then wake-time *bits* (replay stores math.Float64bits; BitsEq is
+// that comparison lifted into the value domain, and the guard a
+// symbolic scan needs before trusting a recorded steady-state period).
 func (rc *grepCtl[V, A]) gSigsEqual(a, b []gSigEntry[V]) bool {
 	if len(a) != len(b) {
 		return false

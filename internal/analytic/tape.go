@@ -1,7 +1,7 @@
 // Guarded evaluation tapes: the analytic evaluation compiled to
 // straight-line form.
 //
-// A Tape is produced by running the generic engine (gengine.go) once
+// A Tape is produced by running the evaluation engine (gengine.go) once
 // with the recording arithmetic below: every float64 operation the
 // evaluator performs lands as one SSA instruction over the free
 // platform parameters (operations on record-time constants fold), and
@@ -72,6 +72,27 @@ type tguard struct {
 	want bool
 	a, b int32
 }
+
+// sgroup is the index of guard g's group in Tape.guards: gkey(op,
+// want) for a tgLT..tgBITS guard, and one last group, gUnary, for the
+// rare unary guards (tgNAN, tgINF).
+func sgroup(g tguard) int {
+	if g.op > tgBITS {
+		return gUnary
+	}
+	return gkey(g.op, g.want)
+}
+
+// gkey is the group of the tgLT..tgBITS guards of op wanting want.
+func gkey(op uint8, want bool) int {
+	if want {
+		return 2*int(op) + 1
+	}
+	return 2 * int(op)
+}
+
+// gUnary is the group of the unary guards; see sgroup.
+const gUnary = 2*int(tgBITS) + 2
 
 // sval is the recording value: a handle to one SSA register. The zero
 // value refers to register 0, which the recorder pins to the constant
@@ -264,12 +285,16 @@ type Tape struct {
 	np     int
 	consts []float64
 	instrs []tinstr
+	// guards are grouped by kind and wanted outcome (see sgroup):
+	// group k is guards[gend[k-1]:gend[k]] (gend[-1] = 0), so scalar
+	// replay checks each group in a tight loop. byReg lists the guard
+	// indices in order of highest operand register: batch replay
+	// walks it to check each guard as soon as its operands exist,
+	// while they are cache-hot.
 	guards []tguard
-	// gmax[i] is the highest operand register of guards[i]; guards are
-	// sorted by it so replay can check each guard as soon as its
-	// operands exist (and while they are cache-hot).
-	gmax []int32
-	outs [4]int32 // predicted, scatter, compute, gather
+	gend   [gUnary + 1]int32
+	byReg  []int32
+	outs   [4]int32 // predicted, scatter, compute, gather
 
 	// Region-constant integer outputs (control flow is fixed within
 	// the region, so round accounting is too).
@@ -358,17 +383,26 @@ func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tap
 		t.guards = append(t.guards, tguard{op: g.op, want: g.want, a: remap[g.a], b: remap[g.b]})
 	}
 	// Guards are an AND over the region, so their order is free.
-	// Sort by highest operand register: replay then checks each guard
+	// Group them by kind for scalar replay, and index them by highest
+	// operand register for batch replay, which then checks each guard
 	// soon after its operands were computed, while they are still in
-	// cache. (Stable-by-construction: insertion sort on a deterministic
-	// key keeps recording order for equal keys.)
+	// cache. (Stable sorts on deterministic keys keep recording order
+	// for equal keys.)
 	sort.SliceStable(t.guards, func(i, j int) bool {
-		return max32(t.guards[i].a, t.guards[i].b) < max32(t.guards[j].a, t.guards[j].b)
+		return sgroup(t.guards[i]) < sgroup(t.guards[j])
 	})
-	t.gmax = make([]int32, len(t.guards))
+	t.byReg = make([]int32, len(t.guards))
 	for i, g := range t.guards {
-		t.gmax[i] = max32(g.a, g.b)
+		t.gend[sgroup(g)]++
+		t.byReg[i] = int32(i)
 	}
+	for k := 1; k < len(t.gend); k++ {
+		t.gend[k] += t.gend[k-1]
+	}
+	sort.SliceStable(t.byReg, func(i, j int) bool {
+		gi, gj := t.guards[t.byReg[i]], t.guards[t.byReg[j]]
+		return max32(gi.a, gi.b) < max32(gj.a, gj.b)
+	})
 	for i, o := range outs {
 		t.outs[i] = remap[o.reg]
 	}
@@ -422,13 +456,7 @@ func (t *Tape) Replay(params []float64, res *Result) bool {
 		}
 		rs[base+i] = v
 	}
-	ok := true
-	for _, g := range t.guards {
-		if !checkGuard(g, rs[g.a], rs[g.b]) {
-			ok = false
-			break
-		}
-	}
+	ok := t.checkAll(rs)
 	if ok {
 		res.PredictedSeconds = rs[t.outs[0]]
 		res.ScatterSeconds = rs[t.outs[1]]
@@ -440,6 +468,67 @@ func (t *Tape) Replay(params []float64, res *Result) bool {
 	}
 	t.bufs.Put(bp)
 	return ok
+}
+
+// checkAll reports whether every guard holds over the fully computed
+// registers rs. With every register present the guard order is free,
+// so the guards are checked grouped by kind: each group is a tight
+// loop whose branch is taken only on a violation, where walking the
+// mixed list would dispatch on every guard's kind.
+func (t *Tape) checkAll(rs []float64) bool {
+	group := func(k int) []tguard {
+		lo := int32(0)
+		if k > 0 {
+			lo = t.gend[k-1]
+		}
+		return t.guards[lo:t.gend[k]]
+	}
+	for _, g := range group(gkey(tgBITS, true)) {
+		if math.Float64bits(rs[g.a]) != math.Float64bits(rs[g.b]) {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgBITS, false)) {
+		if math.Float64bits(rs[g.a]) == math.Float64bits(rs[g.b]) {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgLT, true)) {
+		if !(rs[g.a] < rs[g.b]) {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgLT, false)) {
+		if rs[g.a] < rs[g.b] {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgLE, true)) {
+		if !(rs[g.a] <= rs[g.b]) {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgLE, false)) {
+		if rs[g.a] <= rs[g.b] {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgEQ, true)) {
+		if !(rs[g.a] == rs[g.b]) {
+			return false
+		}
+	}
+	for _, g := range group(gkey(tgEQ, false)) {
+		if rs[g.a] == rs[g.b] {
+			return false
+		}
+	}
+	for _, g := range group(gUnary) {
+		if !checkGuard(g, rs[g.a], rs[g.b]) {
+			return false
+		}
+	}
+	return true
 }
 
 // BatchLanes is the lane count of ReplayBatch: points are replayed
@@ -469,18 +558,22 @@ func (t *Tape) ReplayBatch(points []float64, res *[BatchLanes]Result, ok *[Batch
 	}
 	// One fused sweep: compute instructions in order and check each
 	// guard immediately after its highest operand register is written
-	// (guards are sorted by that register in finalize), while the
+	// (byReg orders the guards by that register), while the
 	// operands are still cache-hot. Guard order is free — the region
 	// test is a conjunction.
 	var bad uint8
 	npc := int32(t.np + len(t.consts))
 	base := int(npc) * BatchLanes
 	guards := t.guards
-	gmax := t.gmax
-	ng := len(guards)
+	byReg := t.byReg
+	ng := len(byReg)
 	gi := 0
-	for gi < ng && gmax[gi] < npc {
-		bad |= t.check8(guards[gi], rs)
+	for gi < ng {
+		g := guards[byReg[gi]]
+		if max32(g.a, g.b) >= npc {
+			break
+		}
+		bad |= t.check8(g, rs)
 		gi++
 	}
 	for i, in := range t.instrs {
@@ -502,8 +595,11 @@ func (t *Tape) ReplayBatch(points []float64, res *[BatchLanes]Result, ok *[Batch
 			d[4], d[5], d[6], d[7] = a[4]/b[4], a[5]/b[5], a[6]/b[6], a[7]/b[7]
 		}
 		dst := npc + int32(i)
-		for gi < ng && gmax[gi] <= dst {
-			g := guards[gi]
+		for gi < ng {
+			g := guards[byReg[gi]]
+			if max32(g.a, g.b) > dst {
+				break
+			}
 			gi++
 			ga := (*[BatchLanes]float64)(rs[int(g.a)*BatchLanes:])
 			gb := (*[BatchLanes]float64)(rs[int(g.b)*BatchLanes:])
@@ -930,7 +1026,7 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	for r, ops := range ss.Ranks {
 		found := false
 		for _, op := range ops {
-			if gManageable(gop[sval]{count: op.Count, kind: op.Kind, body: convSymOps(op.Body)}) {
+			if gManageable(&gop[sval]{count: op.Count, kind: op.Kind, body: convSymOps(op.Body)}) {
 				found = true
 				break
 			}
@@ -963,7 +1059,6 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	sp := &gspec[sval]{
 		hosts:        ss.Hosts,
 		submitter:    ss.Submitter,
-		scheme:       ss.Scheme,
 		scatterBytes: ss.ScatterBytes.v,
 		gatherBytes:  ss.GatherBytes.v,
 		ranks:        ranks,

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/dperf"
 	"repro/internal/costmodel"
 	"repro/internal/platform"
 )
@@ -109,17 +109,21 @@ func TestFig11PlatformOrdering(t *testing.T) {
 	// peers"). The one-time scatter/gather term shrinks as 1/p, so
 	// measure the iteration-phase communication: the compute phase of
 	// the prediction minus the pure computation in the traces.
-	a, err := core.Analyze(core.ObstacleSource, []string{"N"})
+	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := core.DefaultObstacleParams()
+	a = a.WithWorkload(dperf.DefaultObstacleWorkload())
 	comm := func(p int) float64 {
-		traces, err := core.TracesForObstacle(a, p, costmodel.O0, params)
+		ts, err := a.Traces(dperf.WithRanks(p), dperf.WithLevel(costmodel.O0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := core.ReplayObstacle(traces, platform.KindDaisy, costmodel.O0, params)
+		traces, err := ts.Flat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := ts.Predict(dperf.WithPlatform(platform.KindDaisy))
 		if err != nil {
 			t.Fatal(err)
 		}
